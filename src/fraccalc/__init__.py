@@ -17,7 +17,8 @@ from .fractional_ops import (ConvergenceStudy, SampledFunction,
                              convergence_order, jumarie_deriv_num,
                              rl_deriv_num, rl_integral_num,
                              shifted_power_frac_integral)
-from .mittag_leffler import MLEvaluation, cos_alpha, ml, ml_period, sin_alpha
+from .mittag_leffler import (MLEvaluation, cos_alpha, ml, ml_grid, ml_period,
+                             sin_alpha)
 from .solver import (DeviationReport, DeviationRow, FDEProblem, Mode,
                      RealModeTerm, Solution, apply_ics, deviation_report,
                      eval_real_form, eval_solution, eval_solution_classical,

@@ -17,14 +17,17 @@ class ConvergenceError(FracCalcError, ArithmeticError):
     """A series failed to meet its stopping rule within the term budget.
 
     Carries the partial sum and the last computed term so callers can see
-    how far the summation got before giving up.
+    how far the summation got before giving up. index is the position of
+    the failing point when a whole array of points was being evaluated.
     """
 
-    def __init__(self, message, partial_sum=None, last_term=None, terms_used=None):
+    def __init__(self, message, partial_sum=None, last_term=None, terms_used=None,
+                 index=None):
         super().__init__(message)
         self.partial_sum = partial_sum
         self.last_term = last_term
         self.terms_used = terms_used
+        self.index = index
 
 
 class AlphaMismatchError(FracCalcError, ValueError):

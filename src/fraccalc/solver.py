@@ -27,7 +27,7 @@ import numpy as np
 from .alpha_series import AlphaSeries, series_from_ml, zero_series
 from .exceptions import (ConvergenceError, DomainError, FracCalcError,
                          NoConvergenceError, PairingError, SingularSystemError)
-from .mittag_leffler import ml
+from .mittag_leffler import ml, ml_grid
 from .special import gamma
 
 _SWEEP_BUDGET = 500          # simultaneous-iteration sweeps before giving up
@@ -406,54 +406,67 @@ def to_real_form(solution: Solution) -> Solution:
 # ----------------------------------------------------------------------
 # evaluation
 
+def _mode_values(alpha: float, roots: Sequence[complex], t_values: Sequence[float],
+                 tol: float) -> tuple:
+    """(x, values): x[p] = t_p^alpha and values[i][p] = E_alpha(roots[i] x[p]).
+
+    One ml_grid call per root. A failure is reported, as a pointwise loop
+    would report it, for the earliest failing t and the first root failing
+    there, so each later root only needs the points before that t.
+    """
+    ts = [float(t) for t in t_values]
+    for t in ts:
+        if t < 0.0:
+            raise DomainError(f"evaluation requires t >= 0, got {t}")
+    # Python's ** per point: np.power can differ from it in the last place
+    x = np.array([t ** alpha for t in ts])
+    values, failure = [], None
+    for root in roots:
+        end = len(ts) if failure is None else failure.index
+        try:
+            values.append(ml_grid(alpha, root * x[:end], tol).value)
+        except ConvergenceError as exc:
+            failure = exc
+    if failure is not None:
+        raise ConvergenceError(
+            f"mode evaluation failed at t={ts[failure.index]}: {failure}",
+            partial_sum=failure.partial_sum, last_term=failure.last_term,
+            terms_used=failure.terms_used) from failure
+    return x, values
+
+
 def eval_solution(solution: Solution, t_values: Sequence[float],
                   tol: float = 1e-12) -> list:
     """Pointwise mode sum amplitude * t^(j*alpha) * E_alpha(root t^alpha)."""
     if not solution.amplitudes_set():
         raise DomainError("fit amplitudes before evaluating")
-    out = []
-    for t in t_values:
-        t = float(t)
-        if t < 0.0:
-            raise DomainError(f"evaluation requires t >= 0, got {t}")
-        x = t ** solution.alpha
-        total = 0.0 + 0.0j
-        for mode in solution.modes:
-            try:
-                value = ml(solution.alpha, mode.root * x, tol).value
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"mode evaluation failed at t={t}: {exc}",
-                    partial_sum=exc.partial_sum, last_term=exc.last_term,
-                    terms_used=exc.terms_used) from exc
-            total += mode.amplitude * x ** mode.degree * value
-        out.append(total)
-    return out
+    x, values = _mode_values(solution.alpha, [m.root for m in solution.modes],
+                             t_values, tol)
+    total = np.zeros(len(x), dtype=complex)
+    for mode, value in zip(solution.modes, values):
+        total += mode.amplitude * x ** mode.degree * value
+    return total.tolist()
 
 
 def eval_real_form(solution: Solution, t_values: Sequence[float],
                    tol: float = 1e-12) -> list:
-    """Pointwise values of the real-form terms (conjugate recombination)."""
+    """Pointwise values of the real-form terms (conjugate recombination).
+
+    The modes of a pair a +- ib carry amplitudes (cos_amp -+ i sin_amp)/2, and
+    E_alpha(conj z) = conj E_alpha(z), so the pair sums to
+    cos_amp Re E + sin_amp Im E with E = E_alpha((a + ib) t^alpha): one
+    evaluation per pair.
+    """
     if solution.real_form is None:
         raise DomainError("real form not set; call to_real_form first")
-    out = []
-    for t in t_values:
-        t = float(t)
-        x = t ** solution.alpha
-        total = 0.0
-        for term in solution.real_form:
-            power = x ** term.degree
-            if term.b == 0.0:
-                total += term.cos_amp * power * ml(
-                    solution.alpha, term.a * x, tol).value.real
-            else:
-                a1 = (term.cos_amp - 1j * term.sin_amp) / 2.0
-                b1 = (term.cos_amp + 1j * term.sin_amp) / 2.0
-                pair = (a1 * ml(solution.alpha, complex(term.a, term.b) * x, tol).value
-                        + b1 * ml(solution.alpha, complex(term.a, -term.b) * x, tol).value)
-                total += (power * pair).real
-        out.append(total)
-    return out
+    x, values = _mode_values(solution.alpha,
+                             [complex(term.a, term.b) for term in solution.real_form],
+                             t_values, tol)
+    total = np.zeros(len(x))
+    for term, value in zip(solution.real_form, values):
+        total += x ** term.degree * (term.cos_amp * value.real
+                                     + term.sin_amp * value.imag)
+    return total.tolist()
 
 
 def eval_solution_classical(solution: Solution, t_values: Sequence[float]) -> list:

@@ -3,11 +3,14 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fraccalc
 from fraccalc import ParseError, ValidationError
 from fraccalc.cli import emit_problem, main, parse_problem
 
@@ -242,7 +245,11 @@ def test_stdin_input(monkeypatch, capsys):
 
 def test_module_entry_point(tmp_path):
     path = _write(tmp_path, "p.json", CLASSICAL_DOC)
+    # the child imports the same fraccalc as this process, installed or not
+    src = str(Path(fraccalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "fraccalc.cli", "verify", path],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "verification: PASS" in proc.stdout

@@ -2,9 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fraccalc import ConvergenceError, DomainError, cos_alpha, ml, ml_period, sin_alpha
+from fraccalc import (ConvergenceError, DomainError, cos_alpha, ml, ml_grid,
+                      ml_period, sin_alpha)
 
 E = math.e
 TWO_PI = 6.2831853071795864769
@@ -61,6 +65,72 @@ def test_term_budget_exhaustion():
 def test_ml_domain(alpha, tol):
     with pytest.raises(DomainError):
         ml(alpha, 1.0, tol=tol)
+
+
+def _scalar_or_error(alpha, z, tol=1e-12):
+    try:
+        return ml(alpha, z, tol)
+    except ConvergenceError as exc:
+        return exc
+
+
+def _assert_same_error(got, want, index):
+    assert got.index == index
+    assert got.terms_used == want.terms_used
+    assert got.partial_sum == want.partial_sum
+    # repr also tells NaN parts and signed zeros apart
+    assert repr(got.last_term) == repr(want.last_term)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(0.0, 1.0, exclude_min=True),
+       re=st.floats(-12.0, 12.0), im=st.floats(0.0, 12.0),
+       ts=st.lists(st.floats(0.0, 1.5), max_size=12))
+def test_grid_matches_scalar_pointwise(alpha, re, im, ts):
+    # root * t^alpha for t = 0 and the drawn t, each with the conjugate root
+    # and a negative real root of the same modulus
+    root = complex(re, im)
+    z = [w * t ** alpha for t in [0.0] + ts
+         for w in (root, root.conjugate(), -abs(root))]
+    want = [_scalar_or_error(alpha, w) for w in z]
+    failed = [i for i, w in enumerate(want) if isinstance(w, ConvergenceError)]
+    if failed:
+        with pytest.raises(ConvergenceError) as err:
+            ml_grid(alpha, np.array(z))
+        _assert_same_error(err.value, want[failed[0]], failed[0])
+        return
+    got = ml_grid(alpha, np.array(z))
+    for i, w in enumerate(want):
+        assert got.value[i] == w.value
+        assert got.terms_used[i] == w.terms_used
+        assert got.truncation_estimate[i] == w.truncation_estimate
+    # E(conj z) = conj E(z) holds exactly, which eval_real_form relies on
+    assert np.array_equal(got.value[1::3], got.value[0::3].conj())
+
+
+@pytest.mark.parametrize("alpha,bad", [
+    (0.3, 40.0),                      # a term overflows after 267 terms
+    (0.01, 1.03),                     # term budget exhausted
+    (1.0, 1e300),                     # the second term is inf + nan j
+    (1.0, 1.5e308 + 1.5e308j),        # finite parts, modulus overflows
+])
+def test_grid_convergence_error_parity(alpha, bad):
+    with pytest.raises(ConvergenceError) as scalar:
+        ml(alpha, bad)
+    # the error names the lowest failing index, whatever fails later
+    z = np.array([0.5, bad, 2.0, 1e300 + 1e300j])
+    with pytest.raises(ConvergenceError) as grid:
+        ml_grid(alpha, z)
+    _assert_same_error(grid.value, scalar.value, 1)
+
+
+def test_grid_shape_and_domain():
+    got = ml_grid(0.5, np.array([], dtype=complex))
+    assert got.value.shape == got.terms_used.shape == (0,)
+    with pytest.raises(DomainError):
+        ml_grid(0.5, np.zeros((2, 2)))
+    with pytest.raises(DomainError):
+        ml_grid(2.5, np.zeros(3))
 
 
 def test_trig_alpha_one_reduction():

@@ -240,6 +240,51 @@ def test_eval_solution_propagates_convergence_failure():
     assert "t=1.0" in str(err.value)
 
 
+@pytest.mark.parametrize("far", [8.0, -8.0])
+def test_eval_grid_failure_names_earliest_t(far):
+    # at alpha = 0.3 the root-1 mode fails only at t = 1e4 and the root-far
+    # mode from t = 1 on: the earliest failing t is reported, whichever
+    # mode comes first
+    roots = [(1.0, 1), (far, 1)]
+    sol = to_real_form(apply_ics(general_solution(0.3, roots), (1.0, 0.0)))
+    ts = [0.0, 0.25, 1.0, 3.0, 1e4]
+    with pytest.raises(ConvergenceError) as scalar:
+        ml(0.3, far)
+    for evaluate in (eval_solution, eval_real_form):
+        with pytest.raises(ConvergenceError) as err:
+            evaluate(sol, ts)
+        assert "t=1.0:" in str(err.value)
+        assert err.value.terms_used == scalar.value.terms_used
+        assert err.value.partial_sum == scalar.value.partial_sum
+
+
+def _scalar_mode_sum(sol, ts):
+    """y(t) one point and one mode at a time, with the scalar ml."""
+    return [sum(m.amplitude * (t ** sol.alpha) ** m.degree
+                * ml(sol.alpha, m.root * t ** sol.alpha).value for m in sol.modes)
+            for t in ts]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("coeffs", [
+    (6.0, -5.0, 1.0),           # distinct real roots 2, 3
+    (5.0, -2.0, 1.0),           # conjugate pair 1 +- 2i
+    (2.25, -3.0, 1.0),          # double root 1.5
+    (-2.0, 0.0, 1.0, 1.0),      # root 1 and the pair -1 +- i
+])
+def test_grid_eval_matches_scalar_mode_sum(alpha, coeffs):
+    prob = FDEProblem(alpha=alpha, char_coeffs=coeffs,
+                      ics=(1.0, -0.5, 0.25)[:len(coeffs) - 1])
+    sol = solve_fde(prob)
+    ts = [2.0 * i / 200 for i in range(201)]
+    want = _scalar_mode_sum(sol, ts)
+    scale = max(abs(w) for w in want)
+    got = eval_solution(sol, ts)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14 * scale
+    rendered = eval_real_form(sol, ts)
+    assert max(abs(r - w.real) for r, w in zip(rendered, want)) <= 1e-14 * scale
+
+
 def test_eval_negative_t_rejected():
     sol = apply_ics(general_solution(0.5, [(1.0, 1)]), (1.0,))
     with pytest.raises(DomainError):
